@@ -21,7 +21,6 @@ type t = {
   hier : hier_mode;
   hier_tile : int;
   hier_threshold : int;
-  sched : Pacor_sched.Sched.t option;
 }
 
 let default =
@@ -38,7 +37,6 @@ let default =
     hier = Hier_auto;
     hier_tile = 8;
     hier_threshold = 200_000;
-    sched = None;
   }
 
 let make ?(variant = Full) () = { default with variant }

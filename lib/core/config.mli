@@ -38,16 +38,6 @@ type t = {
           default 200_000 — comfortably above every Table 1 chip, so the
           paper corpus runs flat under auto and the hierarchy only pays
           for itself on the scaled family it exists for *)
-  sched : Pacor_sched.Sched.t option;
-      (** work-stealing scheduler for intra-instance stage sharding
-          (DME candidates, selection branch-and-bound, negotiation
-          conflict probes, escape subnetworks). [None] (the default)
-          keeps every stage sequential. Sharded stages produce
-          byte-identical solutions and search stats; the engine gates
-          the scheduler off whenever a search budget is armed, because
-          a budget trip mid-stage depends on operation interleaving.
-          Warning: a config carrying [Some sched] contains mutexes —
-          do not compare it structurally. *)
 }
 
 val default : t

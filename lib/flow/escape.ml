@@ -175,10 +175,9 @@ type solver =
   | Spfa
   | Grid
 
-(* One confined (or flat) min-cost-flow solve over one joint network, no
-   escalation and no decomposition: the ladder in [route] composes these
-   via [solve_once]. Inputs are assumed validated. *)
-let solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins requests =
+(* One confined (or flat) min-cost-flow solve, no escalation: the ladder
+   in [route] composes these. Inputs are assumed validated. *)
+let solve_once ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins requests =
     let cells = Routing_grid.cells grid in
     let nreq = List.length requests in
     let n = (2 * cells) + nreq + 2 in
@@ -261,171 +260,6 @@ let solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins request
     let total_length = List.fold_left (fun acc r -> acc + Path.length r.path) 0 routed in
     { routed; failed; total_length }
 
-(* Independent escape subnetworks. Two requests whose reachable regions
-   share no cell cannot exchange flow: the min-cost-flow over the joint
-   network is exactly the union of the flows over the per-component
-   subnetworks. [solve_once] finds the components (union-find over the
-   post-corridor role graph, following exactly the arcs [emit_network]
-   would emit), and when there are at least two it solves each
-   subinstance separately — in parallel when a scheduler is supplied,
-   sequentially otherwise, with identical results either way: requests
-   and pins keep input order within their group, groups merge in
-   first-request order, and each subsolve runs on a leased scratch
-   workspace whose stats are absorbed in group order in both modes.
-
-   The single-group case (the common one: chips have connected free
-   space) runs the historical joint solve on the caller's workspace,
-   byte-for-byte. Decomposition is disabled when the caller's workspace
-   carries real budget limits: subsolves on leased workspaces would not
-   charge the budget, and a budget trip depends on operation order. *)
-let solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed ~pins
-    requests =
-  let joint () =
-    solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins
-      requests
-  in
-  let budget_free =
-    match workspace with
-    | None -> true
-    | Some ws ->
-      Pacor_route.Budget.is_no_limits
-        (Pacor_route.Budget.limits_of (Pacor_route.Workspace.budget ws))
-  in
-  let req_arr = Array.of_list requests in
-  let nreq = Array.length req_arr in
-  if (not budget_free) || nreq < 2 then joint ()
-  else begin
-    let cells = Routing_grid.cells grid in
-    let roles = compute_roles ?workspace ?corridor ~grid ~claimed ~pins requests in
-    let parent = Array.init cells (fun i -> i) in
-    let find i =
-      let r = ref i in
-      while parent.(!r) <> !r do
-        r := parent.(!r)
-      done;
-      let j = ref i in
-      while parent.(!j) <> !r do
-        let next = parent.(!j) in
-        parent.(!j) <- !r;
-        j := next
-      done;
-      !r
-    in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then parent.(ri) <- rj
-    in
-    (* Mirror [emit_network]'s connectivity: cells with out-arcs (ordinary
-       and start) link to enterable neighbours (ordinary and pin). Pins
-       emit only into the sink, so they join a component but never bridge
-       two. *)
-    for i = 0 to cells - 1 do
-      let role = Packed_roles.get roles i in
-      if role = role_ordinary || role = role_start then
-        Routing_grid.iter_neighbours4 grid i (fun j ->
-          let rj = Packed_roles.get roles j in
-          if rj = role_ordinary || rj = role_pin then union i j)
-    done;
-    (* A request's node fans out to all its live start cells, fusing their
-       components; a request with no live start is dead and rides along
-       with the first group, where the subsolve reports it failed exactly
-       as the joint solve would. *)
-    let live = Array.make nreq (-1) in
-    Array.iteri
-      (fun k (r : request) ->
-        List.iter
-          (fun p ->
-            if Routing_grid.in_bounds grid p then begin
-              let i = Routing_grid.index grid p in
-              if Packed_roles.get roles i = role_start then
-                if live.(k) < 0 then live.(k) <- i else union live.(k) i
-            end)
-          r.start_cells)
-      req_arr;
-    let gid_of_root = Hashtbl.create 16 in
-    let ngroups = ref 0 in
-    let gid = Array.make nreq 0 in
-    Array.iteri
-      (fun k root ->
-        if root >= 0 then begin
-          let r = find root in
-          match Hashtbl.find_opt gid_of_root r with
-          | Some g -> gid.(k) <- g
-          | None ->
-            Hashtbl.add gid_of_root r !ngroups;
-            gid.(k) <- !ngroups;
-            incr ngroups
-        end)
-      live;
-    if !ngroups <= 1 then joint ()
-    else begin
-      let ng = !ngroups in
-      let group_reqs = Array.make ng [] in
-      for k = nreq - 1 downto 0 do
-        group_reqs.(gid.(k)) <- req_arr.(k) :: group_reqs.(gid.(k))
-      done;
-      let group_pins = Array.make ng [] in
-      List.iter
-        (fun p ->
-          if Routing_grid.in_bounds grid p then begin
-            let i = Routing_grid.index grid p in
-            if Packed_roles.get roles i = role_pin then
-              match Hashtbl.find_opt gid_of_root (find i) with
-              | Some g -> group_pins.(g) <- p :: group_pins.(g)
-              | None -> ()
-              (* A pin no live request can reach: it carries no flow in the
-                 joint network either; dropping it changes nothing. *)
-          end)
-        (List.rev pins);
-      let outcomes = Array.make ng None in
-      let solve_group g =
-        let lws = Pacor_route.Workspace_pool.acquire ~cells in
-        let before = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws) in
-        let out =
-          solve_joint ~alive ~workspace:lws ~solver ?corridor ~grid ~claimed
-            ~pins:group_pins.(g) group_reqs.(g)
-        in
-        let delta =
-          Pacor_route.Search_stats.diff
-            (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws))
-            before
-        in
-        Pacor_route.Workspace_pool.release lws;
-        outcomes.(g) <- Some (out, delta)
-      in
-      (match sched with
-       | Some sched -> Pacor_sched.Sched.parallel_for sched ~n:ng solve_group
-       | None ->
-         for g = 0 to ng - 1 do
-           solve_group g
-         done);
-      let tbl = Hashtbl.create 16 in
-      let total = ref 0 in
-      Array.iter
-        (fun o ->
-          let out, delta = Option.get o in
-          (match workspace with
-           | Some ws ->
-             Pacor_route.Search_stats.absorb (Pacor_route.Workspace.stats ws) delta
-           | None -> ());
-          List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
-          total := !total + out.total_length)
-        outcomes;
-      let routed =
-        List.filter_map
-          (fun (r : request) -> Hashtbl.find_opt tbl r.cluster_idx)
-          requests
-      in
-      let failed =
-        List.filter_map
-          (fun (r : request) ->
-            if Hashtbl.mem tbl r.cluster_idx then None else Some r.cluster_idx)
-          requests
-      in
-      { routed; failed; total_length = !total }
-    end
-  end
-
 (* A corridored solve that fails any request may be the corridor's fault —
    the flow network excluded transit cells a flat network keeps. [route]
    escalates through residual retries (failed requests re-solved with the
@@ -446,15 +280,12 @@ let solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed ~pins
    residual retry, then the historical whole-instance flat re-solve, which
    keeps the strict guarantee that a corridored call never routes fewer
    requests than a flat one. *)
-let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ?corridor
+let route ?(alive = fun () -> true) ?workspace ?(solver = Grid) ?corridor
     ?corridor_fallback ~grid ~claimed ~pins requests =
   match validate ~grid ~pins requests with
   | Error _ as e -> e
   | Ok () ->
-    let base =
-      solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed
-        ~pins requests
-    in
+    let base = solve_once ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins requests in
     if corridor = None || base.failed = [] || not (alive ()) then Ok base
     else begin
       let note () =
@@ -502,7 +333,7 @@ let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ?corridor
         let claimed', pins', failed_reqs = residual base in
         let step1 =
           merge base
-            (solve_once ~alive ?sched ?workspace ~solver ~corridor:wide ~grid
+            (solve_once ~alive ?workspace ~solver ~corridor:wide ~grid
                ~claimed:claimed' ~pins:pins' failed_reqs)
         in
         if step1.failed = [] || not (alive ()) then Ok step1
@@ -511,20 +342,18 @@ let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ?corridor
           let claimed'', pins'', failed_reqs' = residual step1 in
           Ok
             (merge step1
-               (solve_once ~alive ?sched ?workspace ~solver ~grid
-                  ~claimed:claimed'' ~pins:pins'' failed_reqs'))
+               (solve_once ~alive ?workspace ~solver ~grid ~claimed:claimed''
+                  ~pins:pins'' failed_reqs'))
         end
       | None ->
         let claimed', pins', failed_reqs = residual base in
         let rest =
-          solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed:claimed'
+          solve_once ~alive ?workspace ~solver ~grid ~claimed:claimed'
             ~pins:pins' failed_reqs
         in
         if rest.failed = [] then Ok (merge base rest)
         else begin
           note ();
-          Ok
-            (solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins
-               requests)
+          Ok (solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests)
         end
     end

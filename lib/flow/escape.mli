@@ -39,7 +39,6 @@ type solver =
 
 val route :
   ?alive:(unit -> bool) ->
-  ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
   ?solver:solver ->
   ?corridor:(int -> bool) ->
@@ -50,15 +49,6 @@ val route :
   request list ->
   (outcome, string) result
 (** [route ~grid ~claimed ~pins requests]:
-
-    [sched] shards each solve over the independent components of the
-    role graph — requests whose reachable regions share no cell route on
-    separate subnetworks, in parallel on leased scratch workspaces.
-    Results are byte-identical with and without [sched] and for any
-    worker count: the decomposition itself also runs without a scheduler
-    (sequentially, same leases, same group order), the single-component
-    case is the historical joint solve verbatim, and decomposition
-    self-disables when the workspace carries real budget limits.
 
     [corridor] (hierarchical mode) restricts ordinary transit cells to
     those the predicate admits — start cells and pins are exempt. The

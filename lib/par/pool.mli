@@ -14,8 +14,8 @@
     Tasks are injected into the scheduler; inside a task, code may fork
     context-free subtasks with {!Pacor_sched.Sched.scope} /
     [parallel_for] on {!sched} — those are stolen across the same
-    domains, which is how the intra-instance stage sharding gets its
-    parallelism without extra domains.
+    domains. Routing itself never forks: each task routes one whole
+    instance sequentially.
 
     Determinism contract: {!map} and {!map_ctx} return results in input
     order, regardless of which worker ran which task or in what order
@@ -57,7 +57,7 @@ val jobs : t -> int
 
 val sched : t -> Pacor_sched.Sched.t
 (** The underlying scheduler, for forking context-free subtasks from
-    inside a task (stage sharding) or for introspection. *)
+    inside a task or for introspection. *)
 
 val map_ctx : t -> (worker -> 'a -> 'b) -> 'a list -> 'b list
 (** [map_ctx pool f xs] runs [f worker x] for every element on the pool

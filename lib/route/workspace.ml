@@ -160,9 +160,6 @@ let begin_bounded t ~cells ~max_visits_per_cell =
 
 let dist t i = if t.dist_stamp.(i) = t.epoch then t.dist_a.(i) else max_int
 
-let touched t i =
-  i >= 0 && i < Array.length t.dist_stamp && t.dist_stamp.(i) = t.epoch
-
 (* First touch of a cell in an epoch also resets its parent, so [parent]
    never reads a stale predecessor through a fresh distance stamp. *)
 let set_dist t i d =

@@ -152,8 +152,9 @@ let local_search inst start =
   done;
   chosen
 
-let exact ?sched inst =
+let exact inst =
   let n = Array.length inst.clusters in
+  let chosen = Array.make n (-1) in
   (* All weights are <= 0; the best a suffix can add is its max node
      weights, ignoring overlaps — admissible since overlaps only subtract. *)
   let best_suffix =
@@ -179,81 +180,25 @@ let exact ?sched inst =
     !w
   in
   let best = ref (Array.copy seed) and best_w = ref seed_w in
-  (* One top-level branch per candidate of cluster 0, explored depth-first
-     against [best]/[best_w]. [leaf_max], when given, observes the value of
-     every leaf reached (used by the parallel merge's skip bound); it never
-     influences the search. *)
-  let explore ~chosen ~best ~best_w ~leaf_max g0 =
-    let rec go i acc_w =
-      if i = n then begin
-        (match leaf_max with
-         | Some r -> if acc_w > !r then r := acc_w
-         | None -> ());
-        if acc_w > !best_w then begin
-          best_w := acc_w;
-          best := Array.copy chosen
-        end
+  let rec go i acc_w =
+    if i = n then begin
+      if acc_w > !best_w then begin
+        best_w := acc_w;
+        best := Array.copy chosen
       end
-      else if acc_w +. suffix_bound.(i) > !best_w +. 1e-12 then
-        Array.iter
-          (fun g ->
-             let w = ref inst.node_w.(g) in
-             for j = 0 to i - 1 do
-               w := !w +. inst.pair_w.(g).(chosen.(j))
-             done;
-             chosen.(i) <- g;
-             go (i + 1) (acc_w +. !w))
-          inst.clusters.(i)
-    in
-    chosen.(0) <- g0;
-    go 1 inst.node_w.(g0)
+    end
+    else if acc_w +. suffix_bound.(i) > !best_w +. 1e-12 then
+      Array.iter
+        (fun g ->
+           let w = ref inst.node_w.(g) in
+           for j = 0 to i - 1 do
+             w := !w +. inst.pair_w.(g).(chosen.(j))
+           done;
+           chosen.(i) <- g;
+           go (i + 1) (acc_w +. !w))
+        inst.clusters.(i)
   in
-  if n > 0 && 0.0 +. suffix_bound.(0) > !best_w +. 1e-12 then begin
-    let branches = inst.clusters.(0) in
-    let nb = Array.length branches in
-    let run_seq () =
-      let chosen = Array.make n (-1) in
-      Array.iter (fun g -> explore ~chosen ~best ~best_w ~leaf_max:None g) branches
-    in
-    match sched with
-    | None -> run_seq ()
-    | Some _ when nb < 2 -> run_seq ()
-    | Some sched ->
-      (* Speculative parallel branches: each runs against a private copy of
-         the seed incumbent, then an ordered merge reconstructs exactly the
-         sequential result. Branch k's speculative run is {e the} sequential
-         run whenever the incumbent is still the seed when the merge reaches
-         it, so its outcome is adopted verbatim. Once some earlier branch
-         improved the incumbent, branch k's speculation used a weaker prune
-         bound than sequential would have — but every leaf it could not see
-         is bounded by [max seed_w leaf_max +. 1e-12], so when even that
-         cannot beat the live incumbent the branch provably contributes
-         nothing and is skipped; otherwise it re-runs sequentially against
-         the live incumbent. Adopt, skip and re-run all reproduce the
-         sequential incumbent bit-for-bit, in branch order. *)
-      let results = Array.make nb None in
-      Pacor_sched.Sched.parallel_for sched ~n:nb (fun k ->
-        let chosen = Array.make n (-1) in
-        let lb = ref (Array.copy seed) in
-        let lw = ref seed_w in
-        let lmax = ref neg_infinity in
-        explore ~chosen ~best:lb ~best_w:lw ~leaf_max:(Some lmax) branches.(k);
-        results.(k) <- Some (!lb, !lw, !lmax));
-      let chosen = Array.make n (-1) in
-      Array.iteri
-        (fun k r ->
-           let lb, lw, lmax = Option.get r in
-           if !best_w = seed_w then begin
-             if lw > seed_w then begin
-               best_w := lw;
-               best := lb
-             end
-           end
-           else if lmax +. 1e-12 <= !best_w && seed_w +. 1e-12 <= !best_w then
-             ()
-           else explore ~chosen ~best ~best_w ~leaf_max:None branches.(k))
-        results
-  end;
+  go 0 0.0;
   !best
 
 (* The paper's literal formulation: one graph node per candidate, edges
@@ -281,7 +226,7 @@ let mwcp_clique inst =
   List.iter (fun g -> by_cluster.(inst.cluster_of.(g)) <- g) clique;
   by_cluster
 
-let select ?sched ?(config = default_config) per_cluster =
+let select ?(config = default_config) per_cluster =
   if List.exists (fun cands -> cands = []) per_cluster then
     Error "a cluster has no candidate trees"
   else if per_cluster = [] then Ok { chosen = []; objective = 0.0 }
@@ -291,7 +236,7 @@ let select ?sched ?(config = default_config) per_cluster =
       match config.solver with
       | Greedy -> greedy inst
       | Local_search -> local_search inst (greedy inst)
-      | Exact -> exact ?sched inst
+      | Exact -> exact inst
       | Mwcp_clique -> mwcp_clique inst
     in
     let chosen = Array.to_list (Array.map (fun g -> inst.cand.(g)) chosen_idx) in

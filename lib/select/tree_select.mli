@@ -52,18 +52,9 @@ type selection = {
   objective : float;           (** MWCP weight of the selection (<= 0) *)
 }
 
-val select :
-  ?sched:Pacor_sched.Sched.t ->
-  ?config:config ->
-  Candidate.t list list ->
-  (selection, string) result
+val select : ?config:config -> Candidate.t list list -> (selection, string) result
 (** [select per_cluster_candidates] picks one candidate per inner list.
-    Errors when some cluster has no candidates. Deterministic: with
-    [sched], the [Exact] solver explores its top-level branch-and-bound
-    branches speculatively in parallel and merges them in branch order
-    (adopt / provably-no-better skip / sequential re-run), which
-    reproduces the sequential incumbent bit-for-bit. Other solvers
-    ignore [sched]. *)
+    Errors when some cluster has no candidates. Deterministic. *)
 
 val selection_weight : lambda:float -> Candidate.t list list -> Candidate.t list -> float
 (** Objective value of an arbitrary full selection (used by tests to verify

@@ -33,14 +33,14 @@ type t = {
 }
 
 let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits)
-    ?(hier = Pacor.Config.Hier_auto) ?sched ?(replay_capacity = 256) ?journal () =
+    ?(hier = Pacor.Config.Hier_auto) ?(replay_capacity = 256) ?journal () =
   {
     cache = Lru.create ~capacity:cache_capacity;
     sessions = Hashtbl.create 16;
     pool = [];
     pool_limit = 8;
     poisoned = Hashtbl.create 4;
-    config = { Pacor.Config.default with limits; hier; sched };
+    config = { Pacor.Config.default with limits; hier };
     started_at = Pacor_route.Clock.now_mono ();
     journal;
     replay = Lru.create ~capacity:replay_capacity;
@@ -417,8 +417,7 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
           { sess.solution with Pacor.Solution.problem }
       else
         match
-          Pacor_fault.Repair.reroute ?sched:t.config.Pacor.Config.sched
-            ~workspace ?limits:req.Protocol.limits
+          Pacor_fault.Repair.reroute ~workspace ?limits:req.Protocol.limits
             ~stage:(Protocol.delta_label delta) ~problem ~is_dirty ~revise sess.solution
         with
         | Ok r
@@ -428,15 +427,18 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
           finish ~incremental:true ~dirty:r.Pacor_fault.Repair.dirty
             r.Pacor_fault.Repair.solution
         | Ok r ->
+          (* A quarantined cluster is gone from the incremental solution's
+             problem, so that answer would silently drop valves from the
+             session: only a quarantine-free result may compete. *)
           fallback ~problem ~dirty:r.Pacor_fault.Repair.dirty
-            (if valid r.Pacor_fault.Repair.solution then
-               Some r.Pacor_fault.Repair.solution
+            (if valid r.Pacor_fault.Repair.solution
+                && r.Pacor_fault.Repair.quarantined = []
+             then Some r.Pacor_fault.Repair.solution
              else None)
         | Error _ -> fallback ~problem ~dirty:dirty_ids None)
     | Ok (Repair { faults; fproblem }) -> (
       match
-        Pacor_fault.Repair.run ?sched:t.config.Pacor.Config.sched
-          ~workspace ?limits:req.Protocol.limits ~faults
+        Pacor_fault.Repair.run ~workspace ?limits:req.Protocol.limits ~faults
           sess.solution
       with
       | Ok r

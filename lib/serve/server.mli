@@ -16,9 +16,11 @@
     validates, quarantined nothing (fault injection excepted, where
     quarantine is the contract), and ran within budget; otherwise the
     mutated problem is routed from scratch and the lexicographically better
-    answer on (routed valves, total length) wins. Every request runs under
-    a per-request {!Pacor_route.Budget} when the request carries
-    ["limits"].
+    answer on (routed valves, total length) wins. An edit's incremental
+    result that quarantined a cluster never competes: it has dropped
+    valves from the chip, so the from-scratch answer is served. Every
+    request runs under a per-request {!Pacor_route.Budget} when the request
+    carries ["limits"].
 
     Single-threaded by design: one [Unix.select] loop multiplexes stdin
     and TCP connections, and every mutable structure above is owned by that
@@ -40,7 +42,6 @@ val create :
   ?cache_capacity:int ->
   ?limits:Pacor_route.Budget.limits ->
   ?hier:Pacor.Config.hier_mode ->
-  ?sched:Pacor_sched.Sched.t ->
   ?replay_capacity:int ->
   ?journal:Journal.t ->
   unit ->
@@ -48,13 +49,7 @@ val create :
 (** Fresh daemon state. [cache_capacity] bounds the solution LRU (default
     64 entries); [limits] is the default per-request budget (default
     unlimited); [hier] selects hierarchical routing for every served run
-    (default [Hier_auto]); [sched] shards each request's inner routing
-    stages across a work-stealing scheduler — for that to engage, the
-    serve loop itself must run on one of the scheduler's worker domains
-    (the CLI wraps it in a one-task pool map when [--jobs > 1]); requests
-    arming a budget fall back to sequential automatically, so served
-    results stay byte-identical to unscheduled ones;
-    [replay_capacity] bounds the retry replay cache
+    (default [Hier_auto]); [replay_capacity] bounds the retry replay cache
     (default 256 responses); [journal] makes every session mutation
     durable. *)
 

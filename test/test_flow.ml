@@ -493,6 +493,40 @@ let test_escape_three_way_agreement () =
       ([ Point.make 0 2; Point.make 0 4; Point.make 0 6 ],
        [ Point.make 2 2; Point.make 2 4; Point.make 2 6 ]) ]
 
+let test_escape_walled_grid () =
+  (* A full-height wall splits the free space in two. Every escape call is
+     one joint min-cost flow, so the joint solve over both halves must
+     equal the two halves solved alone — on the left two requests compete
+     for one pin, which a right-hand pin would relieve without the wall. *)
+  let grid =
+    Routing_grid.create ~width:10 ~height:10
+      ~obstacles:[ Rect.make ~x0:5 ~y0:0 ~x1:5 ~y1:9 ] ()
+  in
+  let left_starts = [ Point.make 2 3; Point.make 2 6 ]
+  and right_starts = [ Point.make 7 3; Point.make 7 6 ] in
+  let left_pins = [ Point.make 0 4 ]
+  and right_pins = [ Point.make 9 3; Point.make 9 6; Point.make 7 0 ] in
+  let reqs ~first starts =
+    List.mapi (fun i s -> { Escape.cluster_idx = first + i; start_cells = [ s ] }) starts
+  in
+  let claimed = Point.Set.of_list (left_starts @ right_starts) in
+  let left = reqs ~first:0 left_starts and right = reqs ~first:10 right_starts in
+  Alcotest.(check int) "max-flow bound sees the wall" 3
+    (Escape.feasibility_bound ~grid ~claimed ~pins:(left_pins @ right_pins) (left @ right));
+  List.iter
+    (fun (name, solver) ->
+       let solve pins rs = route_with solver ~grid ~claimed ~pins rs in
+       let joint = solve (left_pins @ right_pins) (left @ right) in
+       let l = solve left_pins left and r = solve right_pins right in
+       let routed o = List.length o.Escape.routed in
+       Alcotest.(check int) (name ^ ": routed = sum of sides") (routed l + routed r)
+         (routed joint);
+       Alcotest.(check int) (name ^ ": one left request fails") 3 (routed joint);
+       Alcotest.(check int) (name ^ ": length = sum of sides")
+         (l.Escape.total_length + r.Escape.total_length)
+         joint.Escape.total_length)
+    solvers
+
 let test_escape_duplicate_idx_rejected () =
   let grid = grid10 () in
   let s1 = Point.make 3 3 and s2 = Point.make 6 6 in
@@ -811,6 +845,8 @@ let () =
             test_escape_matches_feasibility_bound;
           Alcotest.test_case "three-way solver agreement" `Quick
             test_escape_three_way_agreement;
+          Alcotest.test_case "walled grid = sum of sides" `Quick
+            test_escape_walled_grid;
           Alcotest.test_case "duplicate cluster_idx rejected" `Quick
             test_escape_duplicate_idx_rejected;
           Alcotest.test_case "workspace reuse" `Quick test_escape_workspace_reuse;

@@ -4,9 +4,9 @@
    or duplicates a task under owner/thief races; fork-join results and
    exceptions are deterministic whatever the worker count; and a worker
    blocked inside a subtask cannot starve its siblings — they migrate to
-   other domains by stealing. The engine-level contract rides on top:
-   routing with a scheduler threaded through the config is byte-identical
-   to the sequential run. *)
+   other domains by stealing. The engine rides on top: routing runs
+   forked onto several domains at once share no mutable state, so each is
+   byte-identical to the sequential run. *)
 
 module Ws_deque = Pacor_sched.Ws_deque
 module Sched = Pacor_sched.Sched
@@ -288,7 +288,7 @@ let test_concurrent_map_callers () =
   Alcotest.(check bool) "caller A saw every completion" true ra;
   Alcotest.(check bool) "caller B saw every completion" true rb
 
-(* ---- engine: sharded stages are byte-identical to sequential ---- *)
+(* ---- engine: concurrent runs on forked subtasks ---- *)
 
 let corpus_dir =
   match Sys.getenv_opt "DUNE_SOURCEROOT" with
@@ -322,45 +322,38 @@ let fingerprint (sol : Pacor.Solution.t) =
        (fun ppf (label, snap) -> Format.fprintf ppf "%s:%a" label pp_work snap))
     sol.Pacor.Solution.stage_search
 
-let run_sharded ~jobs problem =
-  Pool.with_pool ~domains:jobs ~jobs (fun pool ->
-    let config =
-      { Pacor.Config.default with
-        Pacor.Config.sched = Some (Pool.sched pool) }
-    in
-    match
-      Pool.map_ctx pool
-        (fun w () ->
-           Pacor.Engine.run ~config
-             ~workspace:(Pool.worker_workspace w) problem)
-        [ () ]
-    with
-    | [ Ok sol ] -> sol
-    | [ Error e ] -> Alcotest.failf "sharded run failed: %s" e.Pacor.Engine.message
-    | _ -> Alcotest.fail "expected exactly one result")
-
-let test_sharded_engine_byte_identity () =
-  List.iter
-    (fun name ->
-       let problem = load name in
-       let seq =
-         match Pacor.Engine.run problem with
-         | Ok sol -> sol
-         | Error e -> Alcotest.failf "sequential %s failed: %s" name e.message
-       in
-       List.iter
-         (fun jobs ->
-            let sol = run_sharded ~jobs problem in
-            (match Pacor.Solution.validate sol with
-             | Ok () -> ()
-             | Error es ->
-               Alcotest.failf "%s sharded jobs=%d invalid: %s" name jobs
-                 (String.concat "; " es));
-            Alcotest.(check string)
-              (Printf.sprintf "%s: jobs=%d byte-identical to sequential" name jobs)
-              (fingerprint seq) (fingerprint sol))
-         [ 2; 4 ])
-    [ "corpus-dense"; "corpus-bigcluster" ]
+let test_concurrent_engine_byte_identity () =
+  (* Each forked subtask routes with its own fresh workspace; with no
+     process-global workspace pool left, nothing is shared between the
+     domains, so every copy must match the sequential fingerprint. *)
+  let names = [| "corpus-dense"; "corpus-bigcluster" |] in
+  let problems = Array.map load names in
+  let route name problem =
+    match Pacor.Engine.run problem with
+    | Ok sol -> sol
+    | Error e -> Alcotest.failf "%s failed: %s" name e.Pacor.Engine.message
+  in
+  let seq = Array.mapi (fun i p -> fingerprint (route names.(i) p)) problems in
+  let copies = 2 in
+  let n = copies * Array.length problems in
+  let got = Array.make n "" in
+  Pool.with_pool ~domains:2 ~jobs:2 (fun pool ->
+    let sched = Pool.sched pool in
+    ignore
+      (Pool.map_ctx pool
+         (fun _ () ->
+            Sched.parallel_for sched ~n (fun k ->
+              let i = k mod Array.length problems in
+              got.(k) <- fingerprint (route names.(i) problems.(i))))
+         [ () ]));
+  Array.iteri
+    (fun k fp ->
+       let i = k mod Array.length problems in
+       Alcotest.(check string)
+         (Printf.sprintf "%s: copy %d byte-identical to sequential" names.(i)
+            (k / Array.length problems))
+         seq.(i) fp)
+    got
 
 let () =
   Alcotest.run "sched"
@@ -383,5 +376,5 @@ let () =
           Alcotest.test_case "concurrent map callers" `Quick
             test_concurrent_map_callers ] );
       ( "engine determinism",
-        [ Alcotest.test_case "sharded stages byte-identical to sequential" `Slow
-            test_sharded_engine_byte_identity ] ) ]
+        [ Alcotest.test_case "concurrent runs byte-identical to sequential"
+            `Slow test_concurrent_engine_byte_identity ] ) ]

@@ -348,6 +348,43 @@ let test_handler_trace () =
   let out = Server.handle server (req [ ("op", Json.String "shutdown") ]) in
   Alcotest.(check bool) "shutdown stops" true out.Server.stop
 
+(* A move into a walled pocket: the moved valve's cluster cannot reach any
+   pin, so the incremental re-route quarantines it out of the chip. The
+   answer must be the full route of the edited chip — every valve kept,
+   the unroutable one reported unrouted — never the incremental solution,
+   which ties it on routed valves while silently dropping one. *)
+let test_move_into_pocket_keeps_valve () =
+  let pocket_text =
+    inst_text
+    ^ "obstacle 4 8 6 8\nobstacle 4 10 6 10\nobstacle 4 9 4 9\nobstacle 6 9 6 9\n"
+  in
+  let server = Server.create () in
+  let move x y =
+    req
+      [
+        ("op", Json.String "move_valve"); ("session", Json.String "p");
+        ("valve", Json.Int 3); ("x", Json.Int x); ("y", Json.Int y);
+      ]
+  in
+  let _, j0 =
+    handle_ok server
+      (req
+         [
+           ("op", Json.String "route"); ("problem", Json.String pocket_text);
+           ("session", Json.String "p");
+         ])
+  in
+  Alcotest.(check int) "routes completely before the move" 3 (result_int j0 "routed_valves");
+  let _, jm = handle_ok server (move 5 9) in
+  Alcotest.(check int) "edited chip's valve count" 3 (result_int jm "valves");
+  Alcotest.(check int) "pocketed valve unrouted" 2 (result_int jm "routed_valves");
+  Alcotest.(check (option bool)) "answered by the full route" (Some false)
+    (Option.bind (Option.bind (Json.member "result" jm) (Json.member "incremental"))
+       Json.bool_opt);
+  (* The session still knows the valve: moving it back routes it again. *)
+  let _, jb = handle_ok server (move 12 7) in
+  Alcotest.(check int) "moved back" 3 (result_int jb "routed_valves")
+
 let budget_inst =
   (* Distinct name => distinct fingerprint, so the cache cannot answer. *)
   String.concat "" [ "name starved\n"; String.concat "" (List.tl (String.split_on_char '\n' inst_text |> List.map (fun l -> l ^ "\n")) |> List.filter (fun l -> l <> "\n")) ]
@@ -895,6 +932,8 @@ let () =
         [
           Alcotest.test_case "request trace" `Quick test_handler_trace;
           Alcotest.test_case "budget classification" `Quick test_budget_classification;
+          Alcotest.test_case "move into a pocket keeps the valve" `Quick
+            test_move_into_pocket_keeps_valve;
           Alcotest.test_case "retry replay cache" `Quick test_replay_cache;
         ] );
       ( "linebuf",
